@@ -377,7 +377,7 @@ pub fn run_storage_case(xml: &str, query: &str) -> CaseResult {
         &doc,
         &index,
         &stats,
-        blossom_storage::EncodeOptions { succinct: true },
+        blossom_storage::EncodeOptions::default(),
     ) {
         Ok(b) => b,
         Err(e) => {

@@ -591,7 +591,9 @@ fn fmt_dur(d: Duration) -> String {
     }
 }
 
-fn json_str(s: &str) -> String {
+/// Render `s` as a JSON string literal (quotes, backslashes, control
+/// characters escaped) — the workspace's one JSON string escaper.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -614,6 +616,12 @@ fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_str_escapes() {
+        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+    }
 
     #[test]
     fn disabled_meter_counts_nothing() {

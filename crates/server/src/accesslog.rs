@@ -18,6 +18,7 @@
 //! written — the per-request cost is one branch.
 
 use crate::span::{RequestSpan, STAGE_NAMES};
+use blossom_core::obs::json_str;
 use std::io::Write;
 use std::sync::Mutex;
 use std::time::SystemTime;
@@ -53,7 +54,7 @@ enum Sink {
     File(Mutex<std::fs::File>),
 }
 
-/// The armed (or disarmed) access log shared by both serving cores.
+/// The armed (or disarmed) access log, shared by the whole server.
 pub struct AccessLog {
     sink: Option<Sink>,
     slow_us: Option<u64>,
@@ -124,7 +125,7 @@ impl AccessLog {
 
 fn json_opt_str(v: &Option<String>) -> String {
     match v {
-        Some(s) => crate::json_str(s),
+        Some(s) => json_str(s),
         None => "null".to_string(),
     }
 }
@@ -151,7 +152,7 @@ pub fn render_record(span: &RequestSpan, wall_us: u64, slow_us: Option<u64>) -> 
          \"bytes_in\": {}, \"bytes_out\": {}, \"queue_depth\": {}, \"batch_size\": {}, \
          \"deadline_budget_ms\": {}, \"deadline_remaining_ms\": {}",
         span.id,
-        crate::json_str(endpoint),
+        json_str(endpoint),
         span.status,
         span.outcome.as_str(),
         slow_us.is_some_and(|t| wall_us >= t),
@@ -169,8 +170,8 @@ pub fn render_record(span: &RequestSpan, wall_us: u64, slow_us: Option<u64>) -> 
     if let Some(log) = &span.log {
         record.push_str(&format!(
             ", \"method\": {}, \"path\": {}, \"doc\": {}, \"query\": {}, \"strategy\": {}",
-            crate::json_str(&log.method),
-            crate::json_str(&log.path),
+            json_str(&log.method),
+            json_str(&log.path),
             json_opt_str(&log.doc),
             json_opt_str(&log.query),
             json_opt_str(&log.strategy),

@@ -178,7 +178,7 @@ impl Catalog {
         Catalog { inner: Mutex::new(Inner::empty()), cap_bytes, store: Some(store) }
     }
 
-    /// Parse/decode `bytes` (XML, BLM1, or BLM2 — sniffed), index it,
+    /// Parse/decode `bytes` (XML or BLM2 — sniffed), index it,
     /// and insert it under `name`, replacing any previous entry of that
     /// name and evicting least-recently-used entries over the byte cap.
     /// With a store, the document is published as a generation file

@@ -20,8 +20,7 @@
 //! Connections are owned by exactly one I/O thread; nothing about a
 //! connection is locked. Idle keep-alive sockets cost *nothing*: they
 //! sit registered in the poller until bytes arrive — there is no
-//! read-timeout polling loop (the PR 5 server woke every 100ms per
-//! idle connection). The regression tests pin this via the
+//! read-timeout polling loop. The regression tests pin this via the
 //! `io.wakeups` / `io.cpu_us` stats counters.
 //!
 //! Responses are delivered strictly in request order per connection
@@ -31,7 +30,7 @@
 
 use crate::http::{parse_request_bytes, render_response, Parsed, Request};
 use crate::metrics::endpoint_index;
-use crate::sched::{BatchKey, Destination, Job, Member};
+use crate::sched::{BatchKey, Destination, Job, Member, Role};
 use crate::server::{request_deadline, respond, Shared};
 use crate::span::{LogCtx, Outcome, RequestSpan, Stage};
 use crate::sys::{self, thread_cpu_us, Event, Interest, Poller, WakeReceiver, Waker};
@@ -239,6 +238,14 @@ impl IoThread {
             self.poller.wait(&mut events, Some(TICK)).expect("poller wait");
             self.shared.metrics.io_wakeups.fetch_add(1, Ordering::Relaxed);
 
+            // Drain the waker before emptying the mailbox: a message
+            // pushed after the take re-arms the waker, so it cannot sit
+            // unseen until the next tick.
+            let ready = std::mem::take(&mut events);
+            if ready.iter().any(|ev| ev.token == WAKER_TOKEN) {
+                self.wake_rx.drain();
+            }
+
             // Mailbox first: completions may unblock flushes that the
             // readiness events below would otherwise race with.
             let inbound = std::mem::take(&mut *self.handles[self.idx].inbox.lock().unwrap());
@@ -249,11 +256,10 @@ impl IoThread {
                 }
             }
 
-            let ready = std::mem::take(&mut events);
             for ev in &ready {
                 match ev.token {
                     LISTENER_TOKEN => self.accept_ready(),
-                    WAKER_TOKEN => self.wake_rx.drain(),
+                    WAKER_TOKEN => {}
                     token => self.conn_event(token, *ev),
                 }
             }
@@ -440,7 +446,7 @@ impl IoThread {
                 return;
             }
             // During drain, pipelined bytes beyond in-flight work are
-            // not admitted — the PR 5 contract: finish what's running,
+            // not admitted — the drain contract: finish what's running,
             // do not start new requests.
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 return;
@@ -480,7 +486,7 @@ impl IoThread {
                 Err(e) => {
                     // Framing is unreliable after a malformed request:
                     // answer 4xx (after any pipelined predecessors) and
-                    // close, exactly like the blocking server.
+                    // close.
                     self.shared.metrics.track_error(e.status);
                     let body = format!("error: {}\n", e.message);
                     let bytes =
@@ -544,17 +550,15 @@ impl IoThread {
 
         if let Some((key, entry)) = batchable(&request, &shared) {
             // Coalesced members are answered by the in-flight leader's
-            // evaluation; no queue slot consumed. A bounced member leads
+            // evaluation; no queue slot consumed. The first member leads
             // a fresh batch instead.
-            let member = match shared.batches.join(&key, member) {
-                Ok(()) => return,
-                Err(member) => member,
-            };
-            shared.batches.lead(key.clone(), member);
+            if shared.batches.join_or_lead(&key, member) == Role::Joined {
+                return;
+            }
             let job = Job::BatchLeader { request, key: key.clone(), entry };
             if shared.sched.push(client, job).is_err() {
-                // Roll the batch back; anyone who joined between
-                // lead() and now is rejected with us.
+                // Roll the batch back; anyone who joined since it was
+                // registered is rejected with us.
                 for m in shared.batches.take(&key) {
                     self.reject(m);
                 }

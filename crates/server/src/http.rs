@@ -7,14 +7,10 @@
 //! too many headers, and oversized bodies are rejected early with 4xx
 //! before any work happens; see `DESIGN.md` §10/§12 for the grammar.
 //!
-//! Two entry points share the same grammar: [`read_request`] pulls one
-//! request off a blocking `BufRead` (the client and the legacy
-//! thread-per-request path), and [`parse_request_bytes`] parses
+//! The one request grammar is [`parse_request_bytes`]: it parses
 //! incrementally out of a byte buffer that may hold a partial request,
 //! a complete one, or several pipelined ones — the event loop's framing
 //! primitive, safe to call again as more TCP segments arrive.
-
-use std::io::{BufRead, Read, Write};
 
 /// Longest accepted request/header line, in bytes.
 pub const MAX_LINE: usize = 8 * 1024;
@@ -63,94 +59,6 @@ impl Request {
             .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
-}
-
-/// Outcome of waiting for the next request on a keep-alive connection.
-#[derive(Debug)]
-pub enum Next {
-    /// A complete request.
-    Request(Request),
-    /// Clean close: EOF before the first byte of a request line.
-    Closed,
-    /// A read timeout fired before any byte of the next request arrived
-    /// (idle keep-alive, when the socket has a read timeout). Safe to
-    /// retry — nothing was consumed — or to close during shutdown.
-    Idle,
-}
-
-enum Line {
-    Some(String),
-    Eof,
-    Idle,
-}
-
-/// Read one line terminated by `\n`, stripping a trailing `\r`, bounded
-/// by [`MAX_LINE`].
-fn read_line(reader: &mut impl BufRead) -> Result<Line, HttpError> {
-    let mut line = Vec::new();
-    let mut limited = reader.take(MAX_LINE as u64 + 1);
-    let n = match limited.read_until(b'\n', &mut line) {
-        Ok(n) => n,
-        // A timeout with nothing consumed leaves framing intact.
-        Err(e)
-            if line.is_empty()
-                && matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-        {
-            return Ok(Line::Idle);
-        }
-        Err(e) => return Err(HttpError::new(400, format!("reading request: {e}"))),
-    };
-    if n == 0 {
-        return Ok(Line::Eof);
-    }
-    if line.len() > MAX_LINE {
-        return Err(HttpError::new(431, format!("request line over {MAX_LINE} bytes")));
-    }
-    if line.last() == Some(&b'\n') {
-        line.pop();
-    }
-    if line.last() == Some(&b'\r') {
-        line.pop();
-    }
-    String::from_utf8(line)
-        .map(Line::Some)
-        .map_err(|_| HttpError::new(400, "request line not UTF-8"))
-}
-
-/// Read one request off the connection. `max_body` bounds the accepted
-/// `Content-Length`. Timeouts *inside* a request (after its first byte)
-/// are errors — framing is lost — but before it they are [`Next::Idle`].
-pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Next, HttpError> {
-    let request_line = match read_line(reader)? {
-        Line::Some(line) => line,
-        Line::Eof => return Ok(Next::Closed),
-        Line::Idle => return Ok(Next::Idle),
-    };
-    let (method, target) = split_request_line(&request_line)?;
-    let (method, target) = (method.to_string(), target.to_string());
-
-    let mut headers = Vec::new();
-    loop {
-        let line = match read_line(reader)? {
-            Line::Some(line) => line,
-            Line::Eof => return Err(HttpError::new(400, "connection closed inside headers")),
-            Line::Idle => return Err(HttpError::new(400, "timed out inside headers")),
-        };
-        if line.is_empty() {
-            break;
-        }
-        push_header(&mut headers, &line)?;
-    }
-
-    let content_length = content_length_of(&headers, max_body)?;
-    let mut body = vec![0u8; content_length];
-    reader
-        .read_exact(&mut body)
-        .map_err(|e| HttpError::new(400, format!("reading body: {e}")))?;
-    Ok(Next::Request(assemble(&method, &target, headers, body)))
 }
 
 /// Split and validate `METHOD /target HTTP/1.x`.
@@ -262,7 +170,7 @@ fn take_line(buf: &[u8], start: usize) -> Result<Option<(&str, usize)>, HttpErro
 /// received bytes and calls again (re-scanning a partial request is
 /// cheap — requests are small and bodies are length-checked before they
 /// accumulate). Errors are terminal for the connection, exactly like
-/// [`read_request`]'s: framing can no longer be trusted.
+/// the connection's framing can no longer be trusted.
 pub fn parse_request_bytes(buf: &[u8], max_body: usize) -> Result<Parsed, HttpError> {
     let Some((request_line, mut pos)) = take_line(buf, 0)? else {
         return Ok(Parsed::Partial);
@@ -401,31 +309,19 @@ pub fn render_response(
     response
 }
 
-/// Write one response with `Content-Length` framing. `close` adds
-/// `Connection: close` so the client knows not to reuse the socket.
-pub fn write_response(
-    w: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    close: bool,
-) -> std::io::Result<()> {
-    // One write per response: split small writes stall behind Nagle's
-    // algorithm waiting on the peer's delayed ACK.
-    w.write_all(&render_response(status, content_type, body, close, &[]))?;
-    w.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// One request that must fill the whole buffer; `None` while the
+    /// buffer holds only a prefix of it.
     fn parse(raw: &[u8]) -> Result<Option<Request>, HttpError> {
-        match read_request(&mut BufReader::new(raw), 1024)? {
-            Next::Request(r) => Ok(Some(r)),
-            Next::Closed => Ok(None),
-            Next::Idle => panic!("in-memory readers never time out"),
+        match parse_request_bytes(raw, 1024)? {
+            Parsed::Complete { request, consumed } => {
+                assert_eq!(consumed, raw.len(), "request must fill the buffer");
+                Ok(Some(request))
+            }
+            Parsed::Partial => Ok(None),
         }
     }
 
@@ -452,7 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn eof_before_request_is_clean_close() {
+    fn empty_buffer_is_partial_not_an_error() {
         assert!(parse(b"").unwrap().is_none());
     }
 
@@ -582,9 +478,7 @@ mod tests {
 
     #[test]
     fn response_has_length_framing() {
-        let mut out = Vec::new();
-        write_response(&mut out, 200, "text/plain", b"hi", false).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(render_response(200, "text/plain", b"hi", false, &[])).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("Content-Length: 2\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\nhi"), "{text}");

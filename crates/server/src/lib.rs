@@ -31,13 +31,12 @@
 //!   `?trace=1`;
 //! * [`sched`] — the bounded per-client fair execution queue and the
 //!   shared-scan batch registry;
-//! * [`eventloop`] — the default serving core: nonblocking I/O threads
+//! * [`eventloop`] — the serving core: nonblocking I/O threads
 //!   owning connection state machines (incremental framing,
 //!   pipelining, keep-alive without timeout polling), an execution
 //!   pool, request coalescing, and admission control;
 //! * [`server`] — configuration, request routing, per-request
-//!   deadlines, graceful drain, and the thread-per-request baseline
-//!   core;
+//!   deadlines, and graceful drain;
 //! * [`client`] — a small blocking client used by the load harness,
 //!   the differential tester's server mode, and the tests.
 
@@ -54,35 +53,4 @@ pub mod span;
 pub mod sys;
 
 pub use client::{Client, Response};
-pub use server::{IoModel, Server, ServerConfig, ServerHandle};
-
-/// Render `s` as a JSON string literal (quotes, backslashes, control
-/// characters escaped) — the one JSON primitive the server needs.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_str_escapes() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-    }
-}
+pub use server::{Server, ServerConfig, ServerHandle};

@@ -24,6 +24,7 @@
 //!   observation from the *window* (never from the cumulative family).
 
 use crate::span::{RequestSpan, STAGE_COUNT, STAGE_NAMES};
+use blossom_core::obs::json_str;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -247,7 +248,6 @@ pub fn endpoint_index(path: &str) -> usize {
 /// Gauges owned by other subsystems, handed in for one `/metrics`
 /// render.
 pub struct PromGauges {
-    pub io_model: String,
     pub uptime_seconds: f64,
     pub queue_depth: u64,
     pub queue_peak: u64,
@@ -429,7 +429,7 @@ impl Metrics {
                     .map(|(s, stage)| {
                         format!(
                             "{}: {}",
-                            crate::json_str(stage),
+                            json_str(stage),
                             self.rolling[e][s].window(sec).render_json()
                         )
                     })
@@ -437,7 +437,7 @@ impl Metrics {
                     .join(", ");
                 Some(format!(
                     "{}: {{\"total\": {}, \"stages\": {{{stages}}}}}",
-                    crate::json_str(name),
+                    json_str(name),
                     total.render_json()
                 ))
             })
@@ -454,13 +454,13 @@ impl Metrics {
         let strategies = self.strategies.lock().unwrap();
         let strategy_fields = strategies
             .iter()
-            .map(|(s, n)| format!("{}: {n}", crate::json_str(s)))
+            .map(|(s, n)| format!("{}: {n}", json_str(s)))
             .collect::<Vec<_>>()
             .join(", ");
         let endpoint_fields = ENDPOINTS
             .iter()
             .zip(&self.endpoints)
-            .map(|(name, hist)| format!("{}: {}", crate::json_str(name), hist.render_json()))
+            .map(|(name, hist)| format!("{}: {}", json_str(name), hist.render_json()))
             .collect::<Vec<_>>()
             .join(", ");
         format!(
@@ -501,8 +501,6 @@ impl Metrics {
         let c = |a: &AtomicU64| a.load(Ordering::Relaxed) as f64;
         let mut out = String::with_capacity(16 * 1024);
 
-        header(&mut out, "blossomd_info", "Build/runtime facts as labels.", "gauge");
-        sample(&mut out, "blossomd_info", &[("io_model", &g.io_model)], 1.0);
         header(&mut out, "blossomd_uptime_seconds", "Seconds since the server started.", "gauge");
         sample(&mut out, "blossomd_uptime_seconds", &[], g.uptime_seconds);
 
@@ -684,7 +682,6 @@ mod tests {
 
     fn gauges() -> PromGauges {
         PromGauges {
-            io_model: "event-loop".to_string(),
             uptime_seconds: 1.5,
             queue_depth: 0,
             queue_peak: 3,
@@ -967,7 +964,6 @@ mod tests {
         let expo = m.render_prometheus(&gauges());
         crate::promtext::check(&expo).expect("well-formed");
         assert!(expo.contains("blossomd_requests_total 7"), "{expo}");
-        assert!(expo.contains("blossomd_info{io_model=\"event-loop\"} 1"), "{expo}");
         assert!(expo.contains("blossomd_queue_capacity 1024"), "{expo}");
         assert!(
             expo.contains("blossomd_queries_by_strategy_total{strategy=\"twigstack\"} 1"),

@@ -188,15 +188,25 @@ impl Sched {
 
 /// In-flight batches: key → members waiting on one evaluation.
 ///
-/// Lifecycle: the first request for a key calls [`Batches::lead`] and
-/// enqueues an execution job; concurrent identical requests
-/// [`Batches::join`] for free. When the leader's job starts evaluating
-/// it calls [`Batches::take`], fixing the member set — requests
-/// arriving after that start a fresh batch, so nobody waits on an
-/// evaluation that began with a shorter deadline than their own.
+/// Lifecycle: the first request for a key leads a fresh batch through
+/// [`Batches::join_or_lead`] and enqueues an execution job; concurrent
+/// identical requests join it for free. When the leader's job starts
+/// evaluating it calls [`Batches::take`], fixing the member set —
+/// requests arriving after that start a fresh batch, so nobody waits on
+/// an evaluation that began with a shorter deadline than their own.
 #[derive(Default)]
 pub struct Batches {
     inner: Mutex<HashMap<BatchKey, Vec<Member>>>,
+}
+
+/// What [`Batches::join_or_lead`] made of a request.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Role {
+    /// Joined an in-flight batch; its leader's evaluation answers it.
+    Joined,
+    /// Registered a fresh batch as its first member; the caller must
+    /// enqueue the evaluation (or [`Batches::take`] it back on failure).
+    Leader,
 }
 
 impl Batches {
@@ -204,23 +214,23 @@ impl Batches {
         Batches::default()
     }
 
-    /// Join an in-flight batch; `Ok(())` iff one existed, otherwise the
-    /// member is handed back so the caller can lead a fresh batch
-    /// (members are move-only — they own their spans).
-    pub fn join(&self, key: &BatchKey, member: Member) -> Result<(), Member> {
-        match self.inner.lock().unwrap().get_mut(key) {
+    /// Join the in-flight batch for `key`, or register a fresh one with
+    /// `member` as its leader. One lock covers the lookup and the
+    /// insert, so two identical requests on different I/O threads can
+    /// never both lead (the second would replace the first's batch and
+    /// drop its member unanswered).
+    pub fn join_or_lead(&self, key: &BatchKey, member: Member) -> Role {
+        let mut inner = self.inner.lock().unwrap();
+        match inner.get_mut(key) {
             Some(members) => {
                 members.push(member);
-                Ok(())
+                Role::Joined
             }
-            None => Err(member),
+            None => {
+                inner.insert(key.clone(), vec![member]);
+                Role::Leader
+            }
         }
-    }
-
-    /// Register a fresh batch with its leader as the first member.
-    pub fn lead(&self, key: BatchKey, leader: Member) {
-        let prev = self.inner.lock().unwrap().insert(key, vec![leader]);
-        debug_assert!(prev.is_none(), "lead() over an in-flight batch");
     }
 
     /// Claim the batch: every member registered so far, in join order
@@ -325,16 +335,15 @@ mod tests {
             strategy: "auto".into(),
             threads: 1,
         };
-        let bounced = batches.join(&key, member(1));
-        assert!(bounced.is_err(), "nothing to join before lead()");
-        batches.lead(key.clone(), bounced.unwrap_err());
-        assert!(batches.join(&key, member(2)).is_ok());
-        assert!(batches.join(&key, member(3)).is_ok());
+        assert_eq!(batches.join_or_lead(&key, member(1)), Role::Leader);
+        assert_eq!(batches.join_or_lead(&key, member(2)), Role::Joined);
+        assert_eq!(batches.join_or_lead(&key, member(3)), Role::Joined);
         let members = batches.take(&key);
         assert_eq!(members.len(), 3);
         assert_eq!(members[0].dest.seq, 1, "leader first");
         // The window closed: later identical requests start fresh.
-        assert!(batches.join(&key, member(4)).is_err());
         assert!(batches.take(&key).is_empty());
+        assert_eq!(batches.join_or_lead(&key, member(4)), Role::Leader);
+        assert_eq!(batches.take(&key).len(), 1);
     }
 }

@@ -116,8 +116,7 @@ pub struct RequestSpan {
     pub endpoint: usize,
     pub status: u16,
     pub outcome: Outcome,
-    /// Wire bytes consumed by this request (event loop: exact framed
-    /// size; blocking core: body bytes only).
+    /// Wire bytes consumed by this request (its exact framed size).
     pub bytes_in: u64,
     /// Rendered response size, headers included.
     pub bytes_out: u64,

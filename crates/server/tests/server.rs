@@ -44,7 +44,15 @@ fn snapshot_bytes_load_like_xml() {
     let handle = spawn_default();
     let mut client = Client::connect(handle.addr()).unwrap();
     let doc = blossom_xml::Document::parse_str(BIB).unwrap();
-    let snap = blossom_xml::succinct::encode(&doc);
+    let index = blossom_xml::TagIndex::build(&doc);
+    let snap = blossom_storage::snapshot::encode(
+        &doc,
+        &index,
+        &doc.stats(),
+        blossom_storage::EncodeOptions::default(),
+    )
+    .unwrap();
+    assert!(blossom_storage::is_blm2(&snap));
     assert_eq!(client.load("snap", &snap).unwrap().status, 200);
     let response = client.query("snap", "//book/title", &[]).unwrap();
     assert_eq!(response.body_str(), direct_eval(BIB, "//book/title"));
@@ -95,7 +103,7 @@ fn profile_returns_trace_json_alongside_the_result() {
     // The embedded result is the same bytes the plain endpoint returns.
     let plain = client.query("bib", "//book/title", &[]).unwrap();
     assert!(
-        body.contains(&blossom_server::json_str(&plain.body_str())),
+        body.contains(&blossom_core::obs::json_str(&plain.body_str())),
         "profile envelope does not embed the plain body: {body}"
     );
     handle.shutdown();
@@ -268,7 +276,6 @@ fn stats_reports_queue_batching_io_and_endpoint_fields() {
     assert_eq!(stats.status, 200);
     let body = stats.body_str();
     for key in [
-        "\"io_model\": \"event-loop\"",
         "\"queue\": {\"depth\": ",
         "\"peak\": ",
         "\"capacity\": ",
@@ -529,24 +536,6 @@ fn pipelined_requests_get_ordered_responses() {
     }
     let dribbled = client.recv().unwrap();
     assert_eq!((dribbled.status, dribbled.body_str().as_str()), (200, "ok\n"));
-    handle.shutdown();
-}
-
-#[test]
-fn thread_per_request_model_still_serves_identical_bytes() {
-    let handle = Server::bind(ServerConfig {
-        io_model: blossom_server::IoModel::ThreadPerRequest,
-        ..ServerConfig::default()
-    })
-    .unwrap()
-    .spawn();
-    let mut client = Client::connect(handle.addr()).unwrap();
-    client.load("bib", BIB.as_bytes()).unwrap();
-    let response = client.query("bib", "//book/title", &[]).unwrap();
-    assert_eq!(response.status, 200);
-    assert_eq!(response.body_str(), direct_eval(BIB, "//book/title"));
-    let stats = client.get("/stats").unwrap().body_str();
-    assert!(stats.contains("\"io_model\": \"thread-per-request\""), "{stats}");
     handle.shutdown();
 }
 

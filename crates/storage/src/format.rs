@@ -19,7 +19,8 @@
 //! is covered by an FNV-1a 64 checksum recorded in the directory (the
 //! directory itself is covered by the header checksum). Offsets are
 //! absolute file offsets; `file length` pins the expected size so a
-//! truncated file fails before any section is touched.
+//! truncated file fails before any section is touched. `flags` is
+//! reserved: writers store 0 and readers reject any other value.
 
 /// Magic bytes at offset 0.
 pub const MAGIC: &[u8; 4] = b"BLM2";
@@ -29,13 +30,9 @@ pub const VERSION: u32 = 1;
 pub const HEADER_LEN: usize = 64;
 /// Directory entry size in bytes.
 pub const DIR_ENTRY_LEN: usize = 32;
-/// Upper bound on `section count` — the format defines 17 sections;
+/// Upper bound on `section count` — the format defines 16 sections;
 /// anything larger is rejected before allocating.
 pub const MAX_SECTIONS: u32 = 64;
-
-/// Flag bit: the snapshot carries a succinct (balanced-parentheses)
-/// section.
-pub const FLAG_SUCCINCT: u32 = 1;
 
 /// Section identifiers. Fixed-width sections record their element size
 /// in the directory; blob sections use element size 1.
@@ -62,7 +59,7 @@ pub enum SectionId {
     Symbols = 9,
     /// Attribute map (varint-framed blob).
     Attrs = 10,
-    /// Document statistics (same serialization as the BLM1 section).
+    /// Document statistics (see [`crate::stats`]).
     Stats = 11,
     /// Per-symbol posting counts (varint-framed blob).
     PostDir = 12,
@@ -74,8 +71,6 @@ pub enum SectionId {
     PostLevels = 15,
     /// Concatenated per-block max-`end` summaries (`u32`).
     PostBlockMax = 16,
-    /// Optional balanced-parentheses skeleton + directories.
-    Succinct = 17,
 }
 
 impl SectionId {
@@ -99,7 +94,6 @@ impl SectionId {
             14 => PostEnds,
             15 => PostLevels,
             16 => PostBlockMax,
-            17 => Succinct,
             _ => return None,
         })
     }
@@ -111,7 +105,7 @@ impl SectionId {
             Level | PostLevels => 2,
             Parent | FirstChild | NextSibling | LastDesc | KindSym | TextOffsets
             | PostStarts | PostEnds | PostBlockMax => 4,
-            TextBlob | Symbols | Attrs | Stats | PostDir | Succinct => 1,
+            TextBlob | Symbols | Attrs | Stats | PostDir => 1,
         }
     }
 }
@@ -249,13 +243,13 @@ mod tests {
 
     #[test]
     fn section_ids_roundtrip() {
-        for v in 1..=17u32 {
+        for v in 1..=16u32 {
             let id = SectionId::from_u32(v).unwrap();
             assert_eq!(id as u32, v);
             assert!(matches!(id.elem_size(), 1 | 2 | 4));
         }
         assert!(SectionId::from_u32(0).is_none());
-        assert!(SectionId::from_u32(18).is_none());
+        assert!(SectionId::from_u32(17).is_none());
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! `blossom-storage` — the persistent storage engine: **BLM2** snapshots
 //! and a generation-based on-disk document store.
 //!
-//! BLM1 (`blossom_xml::succinct`) is a *compact* format: varint streams
-//! that decode through a `TreeBuilder`, costing O(nodes) allocations per
-//! open. BLM2 is a *fast* format: an aligned, versioned, little-endian
+//! BLM2 is the one snapshot format: an aligned, versioned, little-endian
 //! image of the struct-of-arrays arena itself. Every column — parent /
 //! first-child / next-sibling / last-descendant / level / packed
 //! kind|symbol, the text blob, and the `TagIndex` posting arrays with
@@ -25,21 +23,20 @@
 //!   BLM2 bytes and open them back, mapped (zero-copy) or heap-backed,
 //!   with full validation at open so corrupt or truncated files produce
 //!   errors, never panics or out-of-bounds access;
-//! * [`bp`] — the optional succinct section: a balanced-parentheses
-//!   skeleton of the element tree with rank and excess directories for
-//!   navigation without touching the arena columns;
+//! * [`stats`] — the `Stats` section codec, so an opened snapshot
+//!   carries its planner statistics;
 //! * [`store`] — a crash-safe spill directory: per-document generation
 //!   files published via temp-file + rename, recovery that serves only
 //!   complete generations;
-//! * [`load`] — format sniffing (XML vs. BLM1 vs. BLM2) behind one
-//!   loader the CLI and the server catalog share.
+//! * [`load`] — format sniffing (XML vs. BLM2) behind one loader the
+//!   CLI and the server catalog share.
 
-pub mod bp;
 pub mod format;
 pub mod load;
 pub mod snapshot;
+pub mod stats;
 pub mod store;
 
-pub use load::{is_blm1, is_blm2, Loaded};
+pub use load::{is_blm2, Loaded};
 pub use snapshot::{EncodeOptions, OpenMode, Snapshot, StorageError};
 pub use store::StoreDir;

@@ -1,29 +1,23 @@
-//! Format-sniffing loading across all three on-disk shapes: XML text,
-//! BLM1 succinct snapshots, and BLM2 columnar snapshots.
+//! Format-sniffing loading across both on-disk shapes: XML text and
+//! BLM2 columnar snapshots.
 //!
-//! This is the superset of [`blossom_xml::load`]: the CLI and the server
-//! catalog route through here so any input that works in one works in
-//! the other. XML and BLM1 always produce *owned* documents (they decode
-//! node by node); BLM2 files can additionally be **mapped** via
-//! [`loaded_from_path`] with [`OpenMode::Map`], in which case the
-//! returned columns are zero-copy views into the page cache. The tag
-//! index comes free from a BLM2 snapshot and is built on the spot for
-//! the other two formats. Errors are one line, prefixed with `origin`,
-//! matching the convention of `blossom_xml::load`.
+//! The CLI and the server catalog route through here so any input that
+//! works in one works in the other. XML always produces an *owned*
+//! document (it parses node by node); BLM2 files can additionally be
+//! **mapped** via [`loaded_from_path`] with [`OpenMode::Map`], in which
+//! case the returned columns are zero-copy views into the page cache.
+//! The tag index and statistics come free from a BLM2 snapshot and are
+//! built on the spot for XML. Errors are one line, prefixed with
+//! `origin` (a file name or a catalog entry name).
 
 use crate::snapshot::{self, OpenMode};
 use blossom_xml::stats::DocStats;
-use blossom_xml::{load as xml_load, Document, TagIndex};
+use blossom_xml::{Document, TagIndex};
 use std::path::Path;
-
-/// Does this buffer start like a BLM1 succinct snapshot?
-pub fn is_blm1(bytes: &[u8]) -> bool {
-    bytes.starts_with(b"BLM1")
-}
 
 /// Does this buffer start like a BLM2 columnar snapshot?
 pub fn is_blm2(bytes: &[u8]) -> bool {
-    snapshot::sniff(bytes)
+    bytes.starts_with(crate::format::MAGIC)
 }
 
 /// A loaded document with everything the catalog serves: the document,
@@ -34,7 +28,7 @@ pub struct Loaded {
     pub doc: Document,
     /// The tag index (decoded from BLM2, built otherwise).
     pub index: TagIndex,
-    /// Document statistics (embedded in both snapshot formats).
+    /// Document statistics (decoded from BLM2, computed otherwise).
     pub stats: DocStats,
 }
 
@@ -45,13 +39,15 @@ pub fn loaded_from_bytes(bytes: &[u8], origin: &str) -> Result<Loaded, String> {
         let snap = snapshot::open_bytes(bytes).map_err(|e| format!("{origin}: {e}"))?;
         return Ok(Loaded { doc: snap.doc, index: snap.index, stats: snap.stats });
     }
-    let (doc, stats) = xml_load::document_and_stats_from_bytes(bytes, origin)?;
+    let text = std::str::from_utf8(bytes).map_err(|_| format!("{origin}: not UTF-8"))?;
+    let doc = Document::parse_str(text).map_err(|e| format!("{origin}: {e}"))?;
     let index = TagIndex::build(&doc);
+    let stats = doc.stats();
     Ok(Loaded { doc, index, stats })
 }
 
 /// Load from a file path, sniffing the format. BLM2 files are opened in
-/// `mode`; XML and BLM1 decode to owned documents regardless.
+/// `mode`; XML parses to an owned document regardless.
 pub fn loaded_from_path(path: &Path, mode: OpenMode) -> Result<Loaded, String> {
     let origin = path.display().to_string();
     let head = {
@@ -84,20 +80,15 @@ mod tests {
     }
 
     #[test]
-    fn sniffers_disagree() {
-        let b2 = blm2_bytes();
-        let b1 = blossom_xml::succinct::encode(&Document::parse_str(XML).unwrap());
-        assert!(is_blm2(&b2) && !is_blm1(&b2));
-        assert!(is_blm1(&b1) && !is_blm2(&b1));
-        assert!(!is_blm1(XML.as_bytes()) && !is_blm2(XML.as_bytes()));
+    fn sniffer_tells_blm2_from_xml() {
+        assert!(is_blm2(&blm2_bytes()));
+        assert!(!is_blm2(XML.as_bytes()));
     }
 
     #[test]
-    fn all_three_formats_load_identically() {
+    fn both_formats_load_identically() {
         let reference = Document::parse_str(XML).unwrap();
-        let b1 = blossom_xml::succinct::encode(&reference);
-        let b2 = blm2_bytes();
-        for (tag, bytes) in [("xml", XML.as_bytes().to_vec()), ("blm1", b1), ("blm2", b2)] {
+        for (tag, bytes) in [("xml", XML.as_bytes().to_vec()), ("blm2", blm2_bytes())] {
             let loaded = loaded_from_bytes(&bytes, tag).unwrap();
             assert_eq!(
                 blossom_xml::writer::to_string(&loaded.doc),
@@ -138,5 +129,10 @@ mod tests {
         assert!(!err.contains('\n'), "{err}");
         let err = loaded_from_path(Path::new("/nonexistent/x.blm2"), OpenMode::Map).unwrap_err();
         assert!(err.contains("/nonexistent/x.blm2"), "{err}");
+        let err = loaded_from_bytes(b"<r><unclosed>", "bad.xml").unwrap_err();
+        assert!(err.starts_with("bad.xml: "), "{err}");
+        assert!(!err.contains('\n'), "{err}");
+        let err = loaded_from_bytes(&[0xff, 0xfe], "bin").unwrap_err();
+        assert_eq!(err, "bin: not UTF-8");
     }
 }

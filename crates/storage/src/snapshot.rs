@@ -19,15 +19,14 @@
 //! stays near zero for mapped opens — the touched pages are clean page
 //! cache the kernel reclaims under pressure.
 
-use crate::bp::{self, SuccinctTree};
 use crate::format::{
-    align8, fnv64, push_block, push_varint, read_str, read_varint, Section,
-    SectionId, DIR_ENTRY_LEN, FLAG_SUCCINCT, HEADER_LEN, MAGIC, MAX_SECTIONS, VERSION,
+    align8, fnv64, push_block, push_varint, read_str, read_varint, Section, SectionId,
+    DIR_ENTRY_LEN, HEADER_LEN, MAGIC, MAX_SECTIONS, VERSION,
 };
+use crate::stats::{decode_stats_section, encode_stats_section};
 use blossom_xml::colsrc::{Col, Mapping, TextStore};
 use blossom_xml::fxhash::FxHashMap;
 use blossom_xml::stats::DocStats;
-use blossom_xml::succinct::{decode_stats_section, encode_stats_section};
 use blossom_xml::{ColumnParts, Document, NodeId, PostingList, Sym, SymbolTable, TagIndex};
 use std::path::Path;
 use std::sync::Arc;
@@ -57,12 +56,11 @@ impl From<&str> for StorageError {
     }
 }
 
-/// Encoding knobs.
+/// Encoding knobs. There are none today: BLM2 has no optional sections.
+/// The struct stays so [`encode`]'s signature is stable for callers
+/// (`encode(.., EncodeOptions::default())`) if a knob is added later.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct EncodeOptions {
-    /// Emit the optional succinct balanced-parentheses section.
-    pub succinct: bool,
-}
+pub struct EncodeOptions {}
 
 /// How to back the columns of an opened snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,8 +71,7 @@ pub enum OpenMode {
     Heap,
 }
 
-/// A fully opened snapshot: the document, its tag index, statistics,
-/// and (when the snapshot carries one) the succinct skeleton.
+/// A fully opened snapshot: the document, its tag index and statistics.
 #[derive(Debug)]
 pub struct Snapshot {
     /// The reassembled document (columns owned or mapped per [`OpenMode`]).
@@ -83,8 +80,6 @@ pub struct Snapshot {
     pub index: TagIndex,
     /// Document statistics (decoded, always owned).
     pub stats: DocStats,
-    /// The optional balanced-parentheses skeleton.
-    pub succinct: Option<SuccinctTree>,
 }
 
 fn le_u32s(vals: impl Iterator<Item = u32>, capacity: usize) -> Vec<u8> {
@@ -112,14 +107,14 @@ pub fn encode(
     doc: &Document,
     index: &TagIndex,
     stats: &DocStats,
-    opts: EncodeOptions,
+    _opts: EncodeOptions,
 ) -> Result<Vec<u8>, StorageError> {
     let n = doc.len();
     let texts = doc.text_store();
     let symbols = doc.symbols();
     let nsyms = symbols.len();
 
-    let mut sections: Vec<(SectionId, Vec<u8>)> = Vec::with_capacity(17);
+    let mut sections: Vec<(SectionId, Vec<u8>)> = Vec::with_capacity(16);
     sections.push((SectionId::Parent, le_u32s(doc.parent_column().iter().copied(), n)));
     sections.push((SectionId::FirstChild, le_u32s(doc.first_child_column().iter().copied(), n)));
     sections
@@ -198,12 +193,6 @@ pub fn encode(
     sections.push((SectionId::PostLevels, le_u16s(levels.into_iter(), np)));
     sections.push((SectionId::PostBlockMax, le_u32s(blockmax.into_iter(), nb)));
 
-    let mut flags = 0u32;
-    if opts.succinct {
-        flags |= FLAG_SUCCINCT;
-        sections.push((SectionId::Succinct, bp::encode_section(doc)));
-    }
-
     // Layout: header, directory, aligned payloads.
     let dir_len = sections.len() * DIR_ENTRY_LEN;
     let mut offset = align8(HEADER_LEN + dir_len);
@@ -222,7 +211,7 @@ pub fn encode(
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-    out.extend_from_slice(&flags.to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes()); // flags
     out.extend_from_slice(&(n as u64).to_le_bytes());
     out.extend_from_slice(&(ntexts as u64).to_le_bytes());
     out.extend_from_slice(&(nsyms as u64).to_le_bytes());
@@ -238,11 +227,6 @@ pub fn encode(
     Ok(out)
 }
 
-/// Is this buffer (the start of) a BLM2 snapshot?
-pub fn sniff(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && &bytes[..4] == MAGIC
-}
-
 fn rd_u32(bytes: &[u8], off: usize) -> u32 {
     u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap())
 }
@@ -252,7 +236,6 @@ fn rd_u64(bytes: &[u8], off: usize) -> u64 {
 }
 
 struct Header {
-    flags: u32,
     node_count: usize,
     text_count: usize,
     symbol_count: usize,
@@ -297,6 +280,9 @@ fn verify_with(bytes: &[u8], integrity: Integrity) -> Result<Header, StorageErro
         return Err(format!("implausible section count {section_count}").into());
     }
     let flags = rd_u32(bytes, 12);
+    if flags != 0 {
+        return Err(format!("unsupported BLM2 header flags {flags:#x}").into());
+    }
     let node_count = rd_u64(bytes, 16);
     let text_count = rd_u64(bytes, 24);
     let symbol_count = rd_u64(bytes, 32);
@@ -351,7 +337,6 @@ fn verify_with(bytes: &[u8], integrity: Integrity) -> Result<Header, StorageErro
         }
     }
     Ok(Header {
-        flags,
         node_count: node_count as usize,
         text_count: text_count as usize,
         symbol_count: symbol_count as usize,
@@ -495,7 +480,7 @@ fn open_with(map: Arc<Mapping>, integrity: Integrity) -> Result<Snapshot, Storag
         }
     }
 
-    // Stats (owned; the BLM1 section serialization).
+    // Stats (owned).
     let stats_s = section(&h, SectionId::Stats)?;
     let stats = decode_stats_section(&map.bytes()[stats_s.offset..stats_s.offset + stats_s.len])
         .map_err(|e| StorageError(format!("stats section: {e}")))?;
@@ -562,18 +547,7 @@ fn open_with(map: Arc<Mapping>, integrity: Integrity) -> Result<Snapshot, Storag
     }
     let index = TagIndex::from_lists(lists);
 
-    // Optional succinct section.
-    let succinct = if h.flags & FLAG_SUCCINCT != 0 {
-        let s = section(&h, SectionId::Succinct)?;
-        Some(bp::decode_section(&map.bytes()[s.offset..s.offset + s.len]).map_err(StorageError)?)
-    } else {
-        if h.sections.contains_key(&(SectionId::Succinct as u32)) {
-            return Err("succinct section present but flag unset".into());
-        }
-        None
-    };
-
-    Ok(Snapshot { doc, index, stats, succinct })
+    Ok(Snapshot { doc, index, stats })
 }
 
 /// Per-section byte sizes of an encoded snapshot (for `--stats`).
@@ -596,7 +570,6 @@ pub fn section_sizes(bytes: &[u8]) -> Result<Vec<(&'static str, usize)>, Storage
         SectionId::PostEnds => "post_ends",
         SectionId::PostLevels => "post_levels",
         SectionId::PostBlockMax => "post_blockmax",
-        SectionId::Succinct => "succinct",
     };
     let mut out: Vec<(&'static str, usize)> =
         h.sections.values().map(|s| (name(s.id), s.len)).collect();
@@ -608,11 +581,11 @@ pub fn section_sizes(bytes: &[u8]) -> Result<Vec<(&'static str, usize)>, Storage
 mod tests {
     use super::*;
 
-    fn roundtrip(xml: &str, opts: EncodeOptions) -> (Document, Snapshot, Vec<u8>) {
+    fn roundtrip(xml: &str) -> (Document, Snapshot, Vec<u8>) {
         let doc = Document::parse_str(xml).unwrap();
         let index = TagIndex::build(&doc);
         let stats = doc.stats();
-        let bytes = encode(&doc, &index, &stats, opts).unwrap();
+        let bytes = encode(&doc, &index, &stats, EncodeOptions::default()).unwrap();
         let snap = open_bytes(&bytes).unwrap();
         (doc, snap, bytes)
     }
@@ -623,7 +596,7 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_structure_and_content() {
-        let (doc, snap, _) = roundtrip(SAMPLE, EncodeOptions::default());
+        let (doc, snap, _) = roundtrip(SAMPLE);
         assert_eq!(doc.len(), snap.doc.len());
         assert_eq!(
             blossom_xml::writer::to_string(&doc),
@@ -640,7 +613,6 @@ mod tests {
             assert_eq!(a.levels_column(), b.levels_column(), "{name}");
             assert_eq!(a.block_max_end_column(), b.block_max_end_column(), "{name}");
         }
-        assert!(snap.succinct.is_none());
     }
 
     #[test]
@@ -674,15 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn succinct_section_roundtrips() {
-        let (doc, snap, _) = roundtrip(SAMPLE, EncodeOptions { succinct: true });
-        let bp = snap.succinct.expect("succinct section requested");
-        // One open paren per element plus the document node.
-        let n_elems = doc.elements().count();
-        assert_eq!(bp.num_nodes(), n_elems + 1);
-    }
-
-    #[test]
     fn encode_is_deterministic() {
         let doc = Document::parse_str(SAMPLE).unwrap();
         let index = TagIndex::build(&doc);
@@ -695,7 +658,7 @@ mod tests {
     #[test]
     fn update_splice_of_reopened_snapshot_works() {
         use blossom_xml::mutate::{apply, parse_mutations};
-        let (_, snap, _) = roundtrip(SAMPLE, EncodeOptions::default());
+        let (_, snap, _) = roundtrip(SAMPLE);
         let muts = parse_mutations("insert 1 1 <book><title>b</title></book>").unwrap();
         // Mutating a mapped document produces a fresh owned document.
         let (spliced, _) = apply(&snap.doc, &muts[0]).unwrap();
@@ -705,12 +668,12 @@ mod tests {
 
     #[test]
     fn section_sizes_cover_the_file() {
-        let (_, _, bytes) = roundtrip(SAMPLE, EncodeOptions { succinct: true });
+        let (_, _, bytes) = roundtrip(SAMPLE);
         let sizes = section_sizes(&bytes).unwrap();
-        assert_eq!(sizes.len(), 17);
+        assert_eq!(sizes.len(), 16);
         let total: usize = sizes.iter().map(|&(_, s)| s).sum();
         assert!(total <= bytes.len());
-        assert!(sizes.iter().any(|&(n, _)| n == "succinct"));
+        assert!(sizes.iter().any(|&(n, _)| n == "stats"));
     }
 
     #[test]
@@ -719,7 +682,7 @@ mod tests {
         assert!(open_bytes(b"BLM2").is_err());
         assert!(open_bytes(b"nope nope nope nope nope nope nope nope nope nope nope nope nope")
             .is_err());
-        let (_, _, bytes) = roundtrip(SAMPLE, EncodeOptions::default());
+        let (_, _, bytes) = roundtrip(SAMPLE);
         // Every truncation fails cleanly.
         for cut in [0, 3, 4, 63, 64, 100, bytes.len() / 2, bytes.len() - 1] {
             assert!(open_bytes(&bytes[..cut]).is_err(), "cut at {cut}");

@@ -9,9 +9,9 @@
 //! to arbitrary generated documents and arbitrary corruption once the
 //! external crate is restored (see the workspace note on the feature).
 
-use blossom_storage::format::{DIR_ENTRY_LEN, HEADER_LEN};
+use blossom_storage::format::{fnv64, DIR_ENTRY_LEN, HEADER_LEN};
 use blossom_storage::{load, snapshot, EncodeOptions};
-use blossom_xml::{succinct, writer, TagIndex};
+use blossom_xml::{writer, TagIndex};
 use blossom_xmlgen::{generate, Dataset};
 
 /// SplitMix64 — the same tiny generator the document generator uses, so
@@ -29,13 +29,12 @@ impl Rng {
 }
 
 /// A mid-size document with text, attributes, and recursion, its BLM2
-/// image (with the succinct section), and its canonical serialization.
+/// image, and its canonical serialization.
 fn fixture() -> (Vec<u8>, String) {
     let doc = generate(Dataset::D4Treebank, 1_500, 0xFACADE);
     let index = TagIndex::build(&doc);
     let stats = doc.stats();
-    let bytes =
-        snapshot::encode(&doc, &index, &stats, EncodeOptions { succinct: true }).unwrap();
+    let bytes = snapshot::encode(&doc, &index, &stats, EncodeOptions::default()).unwrap();
     (bytes, writer::to_string(&doc))
 }
 
@@ -160,35 +159,6 @@ fn structural_only_opens_never_panic_on_corruption() {
 }
 
 #[test]
-fn blm1_truncation_and_corruption_never_panic() {
-    let doc = generate(Dataset::D2Address, 800, 0xB00);
-    let stats = doc.stats();
-    let bytes = succinct::encode_with_stats(&doc, &stats);
-    let canonical = writer::to_string(&doc);
-    for cut in (0..bytes.len()).step_by(13) {
-        // BLM1 varint streams carry no checksums, so a prefix may decode
-        // as an error or not at all — the property is "no panic", plus
-        // any accepted prefix must still be internally consistent enough
-        // to serialize.
-        if let Ok(loaded) = load::loaded_from_bytes(&bytes[..cut], "trunc.blsm") {
-            let _ = writer::to_string(&loaded.doc);
-        }
-    }
-    let mut rng = Rng(0xB1A5);
-    for _ in 0..300 {
-        let mut corrupt = bytes.clone();
-        let pos = (rng.next() as usize) % corrupt.len();
-        corrupt[pos] ^= 1u8 << (rng.next() % 8);
-        if let Ok(loaded) = load::loaded_from_bytes(&corrupt, "flip.blsm") {
-            let _ = writer::to_string(&loaded.doc);
-        }
-    }
-    // The pristine stream still round-trips.
-    let loaded = load::loaded_from_bytes(&bytes, "ok.blsm").unwrap();
-    assert_eq!(writer::to_string(&loaded.doc), canonical);
-}
-
-#[test]
 fn hostile_headers_error_cleanly() {
     let (bytes, _) = fixture();
     // (byte range, replacement) pairs attacking each header field.
@@ -208,6 +178,21 @@ fn hostile_headers_error_cleanly() {
         let err = snapshot::open_bytes(&corrupt).unwrap_err().to_string();
         assert!(!err.contains('\n'), "multi-line header error: {err}");
     }
+    // A nonzero `flags` word (the header field no reader defines) is
+    // rejected by name, before any section is looked at.
+    let mut flagged = bytes.clone();
+    flagged[12..16].copy_from_slice(&1u32.to_le_bytes());
+    let err = snapshot::open_bytes(&flagged).unwrap_err().to_string();
+    assert_eq!(err, "unsupported BLM2 header flags 0x1");
+    // A directory entry with section id 17 (one past the last defined
+    // section) is an unknown section, even with a valid checksum.
+    let mut unknown = bytes.clone();
+    unknown[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&17u32.to_le_bytes());
+    let count = u32::from_le_bytes(unknown[8..12].try_into().unwrap()) as usize;
+    let dir_sum = fnv64(&unknown[HEADER_LEN..HEADER_LEN + count * DIR_ENTRY_LEN]);
+    unknown[48..56].copy_from_slice(&dir_sum.to_le_bytes());
+    let err = snapshot::open_bytes(&unknown).unwrap_err().to_string();
+    assert_eq!(err, "unknown section id 17");
     // And a handful of tiny garbage inputs through the sniffing loader.
     for garbage in [&b""[..], b"B", b"BLM2", b"<not xml", &[0xFFu8; 64][..]] {
         assert!(load::loaded_from_bytes(garbage, "garbage").is_err());
@@ -231,7 +216,7 @@ mod widened {
             let doc = generate(Dataset::D4Treebank, nodes, seed);
             let index = TagIndex::build(&doc);
             let bytes = snapshot::encode(&doc, &index, &doc.stats(),
-                EncodeOptions { succinct: seed % 2 == 0 }).unwrap();
+                EncodeOptions::default()).unwrap();
             let cut = ((bytes.len() as f64) * frac) as usize;
             prop_assert!(cut == bytes.len() || snapshot::open_bytes(&bytes[..cut]).is_err());
         }
@@ -244,7 +229,7 @@ mod widened {
             let doc = generate(Dataset::D1Recursive, nodes, seed);
             let index = TagIndex::build(&doc);
             let bytes = snapshot::encode(&doc, &index, &doc.stats(),
-                EncodeOptions { succinct: true }).unwrap();
+                EncodeOptions::default()).unwrap();
             let canonical = writer::to_string(&doc);
             let mut corrupt = bytes.clone();
             for (pos, mask) in flips {

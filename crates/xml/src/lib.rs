@@ -34,12 +34,10 @@ pub mod document;
 pub mod fxhash;
 pub mod index;
 pub mod label;
-pub mod load;
 pub mod mutate;
 pub mod navigate;
 pub mod parser;
 pub mod stats;
-pub mod succinct;
 pub mod symbol;
 pub mod writer;
 

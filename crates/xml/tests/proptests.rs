@@ -186,27 +186,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The succinct storage scheme round-trips any document exactly.
-    #[test]
-    fn succinct_roundtrip(t in root_tree()) {
-        let mut src = String::new();
-        render(&t, &mut src);
-        let doc = Document::parse_str(&src).unwrap();
-        let bytes = blossom_xml::succinct::encode(&doc);
-        let back = blossom_xml::succinct::decode(&bytes).unwrap();
-        prop_assert_eq!(writer::to_string(&doc), writer::to_string(&back));
-        prop_assert_eq!(doc.stats(), back.stats());
-        let sizes = blossom_xml::succinct::section_sizes(&bytes).unwrap();
-        prop_assert!(sizes.total() <= bytes.len());
-    }
-
-    /// Decoding arbitrary bytes never panics.
-    #[test]
-    fn succinct_decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = blossom_xml::succinct::decode(&bytes);
-        let _ = blossom_xml::succinct::section_sizes(&bytes);
-    }
-
     /// The query lexer and XML parser never panic on arbitrary input.
     #[test]
     fn parsers_never_panic(input in "\\PC*") {

@@ -64,15 +64,15 @@ echo "== storage smoke (BLM2 snapshots, owned-vs-mapped differential) =="
 cargo run --release -q -p blossom-bench --bin diff -- \
     --rounds 40 --nodes 160 --storage --out target/storage-fixtures
 
-# Snapshot CLI round-trip: XML → BLM2 (with the succinct section and
-# the per-section stats report) → XML again; queries over all three
-# forms must produce the same bytes, and the BLM2 must open mapped.
+# Snapshot CLI round-trip: XML → BLM2 (with the per-section stats
+# report) → XML again; queries over all three forms must produce the
+# same bytes, and the BLM2 must open mapped.
 SNAP_DOC=target/snapshot-smoke.xml
 SNAP_BLM2=target/snapshot-smoke.blm2
 SNAP_BACK=target/snapshot-smoke-back.xml
 cargo run --release -q --bin blossom -- gen d1 "${SNAP_DOC}" --nodes 6000
 cargo run --release -q --bin blossom -- snapshot "${SNAP_DOC}" \
-    --output "${SNAP_BLM2}" --succinct --stats > target/snapshot-stats.out
+    --output "${SNAP_BLM2}" --stats > target/snapshot-stats.out
 grep -q 'format blm2' target/snapshot-stats.out \
     || { echo "snapshot CLI did not report the blm2 format"; exit 1; }
 cargo run --release -q --bin blossom -- snapshot "${SNAP_BLM2}" \
@@ -104,8 +104,8 @@ echo "== server smoke (blossomd: load, concurrent queries, open-loop, drain) =="
 # sweep the Table-3 query matrix closed-loop with every response
 # byte-compared against direct in-process evaluation, then the
 # open-loop generator drives 256 keep-alive connections on a fixed
-# arrival schedule at three offered rates against both serving models
-# (event-loop vs thread-per-request). Writes BENCH_server.json.
+# arrival schedule at three offered rates against a fresh event-loop
+# server per rate. Writes BENCH_server.json.
 cargo run --release -q -p blossom-bench --bin serve_load -- \
     --connections 4 --rounds 2 --nodes 4000 \
     --open-connections 256 --rates 500,2000,8000 --open-seconds 1 \
@@ -116,10 +116,8 @@ for key in closed_loop throughput_rps p50 p95 p99 response_mismatches \
     grep -q "\"${key}\"" BENCH_server.json \
         || { echo "BENCH_server.json missing key: ${key}"; exit 1; }
 done
-for model in event-loop thread-per-request; do
-    grep -q "\"io_model\": \"${model}\"" BENCH_server.json \
-        || { echo "BENCH_server.json missing open-loop model: ${model}"; exit 1; }
-done
+grep -q '"server": "event-loop"' BENCH_server.json \
+    || { echo "BENCH_server.json missing the event-loop open-loop run"; exit 1; }
 
 # The same harness against a real `blossom serve` process: ephemeral
 # port, a preloaded document, concurrent queries (the harness also sends
